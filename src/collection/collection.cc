@@ -257,9 +257,11 @@ void JsonCollection::RegisterMemoryReporters() {
 #if !defined(FSDM_TELEMETRY_DISABLED)
   using telemetry::MemSubsystem;
   using telemetry::MemoryScope;
-  // Every reporter sums over shard(i), which is `this` on a single-shard
-  // collection — one code path for both shapes. The scopes capture `this`;
-  // Detach() clears them before any polled structure goes away.
+  // Every per-shard reporter sums over shard(i), which is `this` on a
+  // single-shard collection — one code path for both shapes. Each must be
+  // O(1) per shard: the routed-query probe refreshes them all per query.
+  // The scopes capture `this`; Detach() clears them before any polled
+  // structure goes away.
   auto sum = [this](uint64_t (*per_shard)(const JsonCollection&)) {
     return [this, per_shard]() {
       uint64_t total = 0;
@@ -304,11 +306,11 @@ void JsonCollection::RegisterMemoryReporters() {
       sum(+[](const JsonCollection& c) {
         return c.path_stats_.MemoryBytes();
       }));
-  mem_scopes_.emplace_back(
-      MemSubsystem::kWalBuffers, name_,
-      sum(+[](const JsonCollection& c) {
-        return c.wal_ != nullptr ? c.wal_->MemoryBytes() : uint64_t{0};
-      }));
+  // The WAL is the one structure the facade owns itself: shards of a
+  // sharded collection log through it and have no wal_ of their own.
+  mem_scopes_.emplace_back(MemSubsystem::kWalBuffers, name_, [this]() {
+    return wal_ != nullptr ? wal_->MemoryBytes() : uint64_t{0};
+  });
 #endif  // !FSDM_TELEMETRY_DISABLED
 }
 
@@ -320,11 +322,7 @@ size_t JsonCollection::document_count() const {
     }
     return n;
   }
-  size_t n = 0;
-  for (size_t r = 0; r < table_->row_count(); ++r) {
-    if (table_->IsLive(r)) ++n;
-  }
-  return n;
+  return table_->LiveRowCount();
 }
 
 size_t JsonCollection::ShardForKey(const Value& key) const {

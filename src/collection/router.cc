@@ -275,7 +275,8 @@ class RoutedQueryProbe final : public rdbms::Operator {
     registered_ = true;
     // Refresh pulls every registered memory reporter once so the peak this
     // query records reflects resident state (table heap, postings, IMC),
-    // not just transient charges. O(reporters), off the DML fast path.
+    // not just transient charges. O(reporters): each reads a maintained
+    // byte counter (the contract in memory_tracker.h).
     telemetry::MemoryTracker::Global().Refresh();
     peak_mem_bytes_ = telemetry::MemoryTracker::Global().CurrentBytes();
     Status status = child_->Open();

@@ -174,6 +174,7 @@ class InstanceWalker {
       it->second.path = path;
       it->second.kind = kind;
       it->second.under_array = under_array;
+      guide_->memory_bytes_.Add(DataGuide::EntryBytes(path));
       if (new_sink_ != nullptr) new_sink_->push_back(&it->second);
     }
     // Per-document frequency via doc stamping (no per-doc set).
@@ -224,7 +225,10 @@ Result<int> DataGuide::AddJsonText(std::string_view text) {
 void DataGuide::Merge(const DataGuide& other) {
   for (const auto& [key, theirs] : other.entries_) {
     auto [it, inserted] = entries_.try_emplace(key, theirs);
-    if (inserted) continue;
+    if (inserted) {
+      memory_bytes_.Add(EntryBytes(theirs.path));
+      continue;
+    }
     PathEntry& ours = it->second;
     ours.leaf_type = Generalize(ours.leaf_type, theirs.leaf_type);
     ours.max_length = std::max(ours.max_length, theirs.max_length);
@@ -263,14 +267,16 @@ std::vector<const PathEntry*> DataGuide::SortedEntries() const {
   return out;
 }
 
-uint64_t DataGuide::MemoryBytes() const {
+uint64_t DataGuide::EntryBytes(const std::string& path) {
   // Hash node overhead (bucket pointer + node header) plus the entry
   // payload; the path string is owned twice, by the Key and the PathEntry.
   constexpr uint64_t kEntryBytes = 2 * sizeof(void*) + sizeof(PathEntry);
+  return kEntryBytes + 2 * telemetry::OwnedStringBytes(path);
+}
+
+uint64_t DataGuide::RecomputeMemoryBytes() const {
   uint64_t total = 0;
-  for (const auto& [key, entry] : entries_) {
-    total += kEntryBytes + 2 * telemetry::OwnedStringBytes(entry.path);
-  }
+  for (const auto& [key, entry] : entries_) total += EntryBytes(entry.path);
   return total;
 }
 

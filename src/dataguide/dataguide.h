@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "common/value.h"
 #include "json/dom.h"
+#include "telemetry/memory_tracker.h"
 
 namespace fsdm::dataguide {
 
@@ -96,8 +97,13 @@ class DataGuide {
   /// per-entry node overhead plus the path string twice (the hash Key and
   /// the PathEntry each own a copy). Deterministic size-based formula;
   /// min/max sample Values are excluded (bounded per entry, and their
-  /// variant payloads would make the formula value-dependent). O(entries).
-  uint64_t MemoryBytes() const;
+  /// variant payloads would make the formula value-dependent). Maintained
+  /// where entries are created (AddDocument, Merge); O(1) to read, since
+  /// the collection's memory reporter polls it once per routed query.
+  uint64_t MemoryBytes() const { return memory_bytes_.load(); }
+  /// Exact O(entries) walk with the same formula; the unit tests pin
+  /// MemoryBytes() == RecomputeMemoryBytes().
+  uint64_t RecomputeMemoryBytes() const;
 
   /// Entries sorted by path (then container-before-leaf).
   std::vector<const PathEntry*> SortedEntries() const;
@@ -154,8 +160,12 @@ class DataGuide {
 
   friend class InstanceWalker;
 
+  /// MemoryBytes() charge of one entry.
+  static uint64_t EntryBytes(const std::string& path);
+
   std::unordered_map<Key, PathEntry, KeyHash, KeyEq> entries_;
   uint64_t doc_count_ = 0;
+  telemetry::ByteCounter memory_bytes_;  // sum of EntryBytes over entries_
 };
 
 }  // namespace fsdm::dataguide

@@ -117,6 +117,14 @@ class Table {
   /// Stored values of a row (physical columns only).
   const Row& StoredRow(size_t row_id) const { return rows_[row_id]; }
   bool IsLive(size_t row_id) const { return live_[row_id]; }
+  /// Rows not tombstoned by Delete(). Maintained by DML (rollbacks
+  /// included), O(1) — the router reads it on every routed query.
+  size_t LiveRowCount() const {
+    return live_rows_.load(std::memory_order_relaxed);
+  }
+  /// Exact O(rows) recount of IsLive(); the accounting unit test pins
+  /// LiveRowCount() == RecountLiveRows() across DML mixes.
+  size_t RecountLiveRows() const;
 
   /// Materializes a full output row: physical values plus evaluated
   /// virtual columns (hidden ones included only when `include_hidden`).
@@ -161,6 +169,8 @@ class Table {
   // mutates it while MemoryTracker reporter callbacks read it from other
   // threads (workload-snapshot tick, TELEMETRY$MEMORY refresh).
   std::atomic<uint64_t> heap_bytes_{0};
+  // Count of true entries in live_; atomic for the same reason.
+  std::atomic<size_t> live_rows_{0};
   std::vector<TableObserver*> observers_;
   // Parse results of the current DML's IS JSON checks, shared with
   // observers; cleared after the callbacks run.

@@ -20,6 +20,21 @@ uint64_t Mix(uint64_t h) {
   return h;
 }
 
+// kInversePow2.v[r] == 2^-r == std::ldexp(1.0, -r), exactly: every entry is a
+// power of two well inside the normal double range. Registers are uint8_t,
+// so the table covers every value one can hold.
+struct InversePow2Table {
+  double v[256];
+  constexpr InversePow2Table() : v() {
+    double x = 1.0;
+    for (int r = 0; r < 256; ++r) {
+      v[r] = x;
+      x *= 0.5;
+    }
+  }
+};
+constexpr InversePow2Table kInversePow2;
+
 }  // namespace
 
 void Hll::Add(std::string_view canonical) { AddHash(Hash64(canonical)); }
@@ -42,10 +57,12 @@ double Hll::Estimate() const {
   constexpr double m = static_cast<double>(kRegisters);
   // alpha_m for m >= 128 (Flajolet et al., 2007).
   constexpr double alpha = 0.7213 / (1.0 + 1.079 / m);
+  // Summed in register order: the estimate is bit-identical to the
+  // ldexp(1.0, -r) sum it replaces (the routing detail strings print it).
   double inverse_sum = 0.0;
   size_t zeros = 0;
   for (uint8_t r : registers_) {
-    inverse_sum += std::ldexp(1.0, -static_cast<int>(r));
+    inverse_sum += kInversePow2.v[r];
     if (r == 0) ++zeros;
   }
   const double raw = alpha * m * m / inverse_sum;

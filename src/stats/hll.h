@@ -41,6 +41,12 @@ class Hll {
 
   void Clear() { registers_.fill(0); }
 
+  /// The registers (exposed for tests: the bit-equality test recomputes
+  /// Estimate() from them with the reference ldexp sum).
+  const std::array<uint8_t, kRegisters>& registers() const {
+    return registers_;
+  }
+
  private:
   std::array<uint8_t, kRegisters> registers_{};
 };

@@ -72,9 +72,22 @@ void ValueHistogram::Clear() {
 
 // --- PathStatsRepository ----------------------------------------------------
 
+namespace {
+
+// MemoryBytes() charge of one path, histogram heap excluded: map node
+// overhead (parent/child pointers + color), the owned key, the payload.
+uint64_t PathBytes(const std::string& path) {
+  constexpr uint64_t kNodeBytes = 4 * sizeof(void*);
+  return kNodeBytes + telemetry::OwnedStringBytes(path) + sizeof(PathStats);
+}
+
+}  // namespace
+
 void PathStatsRepository::OnScalar(const std::string& path, bool /*under_array*/,
                                    const Value& v) {
-  PathStats& s = paths_[path];
+  auto [it, inserted] = paths_.try_emplace(path);
+  if (inserted) memory_bytes_.Add(PathBytes(path));
+  PathStats& s = it->second;
   // Per-document frequency via the stamp trick: the current document's
   // stamp is docs_seen_ + 1 (OnDocumentEnd increments docs_seen_ after the
   // walk).
@@ -100,7 +113,17 @@ void PathStatsRepository::OnScalar(const std::string& path, bool /*under_array*/
     Result<int> hi = v.CompareTo(*s.max_value);
     if (hi.ok() && hi.value() > 0) s.max_value = v;
   }
-  if (v.IsNumeric()) s.histogram.Add(v.NumericAsDouble());
+  if (v.IsNumeric()) {
+    // Heap delta of this Add: one seed double, nothing once frozen, or the
+    // seed buffer traded for the buckets on the freezing Add.
+    const uint64_t before = s.histogram.HeapBytes();
+    s.histogram.Add(v.NumericAsDouble());
+    const uint64_t after = s.histogram.HeapBytes();
+    if (after != before) {
+      memory_bytes_.Add(after);
+      memory_bytes_.Sub(before);
+    }
+  }
 }
 
 void PathStatsRepository::OnDocumentEnd() { ++docs_seen_; }
@@ -124,13 +147,10 @@ double PathStatsRepository::NdvEstimate(const std::string& path) const {
   return s == nullptr ? 0.0 : s->ndv.Estimate();
 }
 
-uint64_t PathStatsRepository::MemoryBytes() const {
-  // Map node overhead (parent/child pointers + color) per entry.
-  constexpr uint64_t kNodeBytes = 4 * sizeof(void*);
+uint64_t PathStatsRepository::RecomputeMemoryBytes() const {
   uint64_t total = 0;
   for (const auto& [path, stats] : paths_) {
-    total += kNodeBytes + telemetry::OwnedStringBytes(path) +
-             sizeof(PathStats) + stats.histogram.HeapBytes();
+    total += PathBytes(path) + stats.histogram.HeapBytes();
   }
   return total;
 }
@@ -138,6 +158,7 @@ uint64_t PathStatsRepository::MemoryBytes() const {
 void PathStatsRepository::Clear() {
   paths_.clear();
   docs_seen_ = 0;
+  memory_bytes_.Reset();
 }
 
 }  // namespace fsdm::stats

@@ -10,6 +10,7 @@
 #include "common/value.h"
 #include "dataguide/dataguide.h"
 #include "stats/hll.h"
+#include "telemetry/memory_tracker.h"
 
 /// Per-collection path statistics repository (ISSUE 5 tentpole): value-level
 /// statistics the DataGuide's structural walk cannot see — NDV sketches,
@@ -111,13 +112,20 @@ class PathStatsRepository final : public dataguide::ScalarSink {
   /// overhead + owned path string (by size()) + the PathStats payload
   /// (the Hll registers are an inline array) + histogram heap bytes.
   /// Min/max sample Values excluded, as in DataGuide::MemoryBytes().
-  uint64_t MemoryBytes() const;
+  /// Maintained by OnScalar (new paths, histogram growth and freeze) and
+  /// Clear(); O(1) to read, since the collection's memory reporter polls
+  /// it once per routed query.
+  uint64_t MemoryBytes() const { return memory_bytes_.load(); }
+  /// Exact O(paths) walk with the same formula; the unit tests pin
+  /// MemoryBytes() == RecomputeMemoryBytes().
+  uint64_t RecomputeMemoryBytes() const;
 
   void Clear();
 
  private:
   std::map<std::string, PathStats> paths_;
   uint64_t docs_seen_ = 0;
+  telemetry::ByteCounter memory_bytes_;
 };
 
 }  // namespace fsdm::stats

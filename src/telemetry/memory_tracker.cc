@@ -117,6 +117,7 @@ void MemoryTracker::RatchetSubsystemPeak(size_t idx, uint64_t current) {
 }
 
 uint64_t MemoryTracker::Refresh() {
+  FSDM_TIME_SCOPE_US("fsdm_mem_refresh_us");
   uint64_t by_subsystem[kMemSubsystemCount] = {};
   {
     std::lock_guard<std::mutex> lock(mu_);

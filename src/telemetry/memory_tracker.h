@@ -22,7 +22,15 @@
 ///    gauges, and ratchets peaks. Reporters use deterministic *size-based*
 ///    formulas (string `size()`, not `capacity()`), so two reads with no
 ///    intervening DML agree exactly and the TELEMETRY$MEMORY relation
-///    reconciles with a direct `MemoryBytes()` walk.
+///    reconciles with the structures' own `MemoryBytes()`.
+///
+///    Contract: every reporter must be O(1). `Refresh()` runs once per
+///    routed query (the probe's Open() takes the query's resident baseline
+///    from it), so a reporter that walks its structure makes every read
+///    pay for the structure's size. Structures keep a maintained byte
+///    counter (`ByteCounter` below) updated by DML and expose the exact
+///    walk separately as `Recompute*()`, which a unit test pins equal to
+///    the counter. `Refresh()` itself is timed as `fsdm_mem_refresh_us`.
 ///  - *Charges* (push model, `MemoryCharge`): transient allocations with a
 ///    scoped lifetime — OSON images materialized during DML, a plan's
 ///    buffered working set during a morsel-parallel drain — add/subtract an
@@ -64,6 +72,33 @@ const char* MemSubsystemName(MemSubsystem s);
 inline uint64_t OwnedStringBytes(const std::string& s) {
   return sizeof(std::string) + s.size();
 }
+
+/// A structure's maintained reporter byte count. Relaxed atomic because DML
+/// updates it while MemoryTracker reporters read it from other threads
+/// (the workload-snapshot tick, a concurrent routed query); unlike
+/// std::atomic it copies with its owner, so copyable structures (a
+/// DataGuide collected by the SQL aggregate) keep their default copies.
+class ByteCounter {
+ public:
+  ByteCounter() = default;
+  ByteCounter(const ByteCounter& other) : bytes_(other.load()) {}
+  ByteCounter& operator=(const ByteCounter& other) {
+    bytes_.store(other.load(), std::memory_order_relaxed);
+    return *this;
+  }
+
+  uint64_t load() const { return bytes_.load(std::memory_order_relaxed); }
+  void Add(uint64_t bytes) {
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  void Sub(uint64_t bytes) {
+    bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+  }
+  void Reset() { bytes_.store(0, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> bytes_{0};
+};
 
 #if !defined(FSDM_TELEMETRY_DISABLED)
 

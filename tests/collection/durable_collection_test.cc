@@ -10,6 +10,7 @@
 #include "json/serializer.h"
 #include "oson/oson.h"
 #include "rdbms/executor.h"
+#include "telemetry/memory_tracker.h"
 
 namespace fsdm::collection {
 namespace {
@@ -240,6 +241,35 @@ TEST_F(DurableCollectionTest, ShardedCollectionRecoversAllShards) {
   EXPECT_EQ(coll->document_count(), expect.size());
   ConsistencyReport report = coll->CheckConsistency();
   EXPECT_TRUE(report.consistent) << report.ToString();
+}
+
+// The facade owns the log of a sharded durable collection, so the
+// wal-buffers reporter must report the facade's WAL rather than sum the
+// shards' (absent) ones.
+TEST_F(DurableCollectionTest, ShardedWalBuffersReporterReportsFacadeWal) {
+  if (!telemetry::kEnabled) GTEST_SKIP() << "built with -DFSDM_TELEMETRY=OFF";
+  rdbms::Database db;
+  auto coll = JsonCollection::Create(&db, "WALMEM", Durable(/*shards=*/4))
+                  .MoveValue();
+  for (int i = 1; i <= 10; ++i) {
+    ASSERT_TRUE(coll->Insert(Value::Int64(i), Doc(i, "w")).ok());
+  }
+  ASSERT_NE(coll->wal(), nullptr);
+  telemetry::MemoryTracker::Global().Refresh();
+  uint64_t tracked = 0;
+  size_t entries = 0;
+  for (const telemetry::MemoryTracker::Entry& e :
+       telemetry::MemoryTracker::Global().Entries()) {
+    if (e.collection != "WALMEM" ||
+        e.subsystem != telemetry::MemSubsystem::kWalBuffers) {
+      continue;
+    }
+    tracked += e.bytes;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+  EXPECT_GT(tracked, 0u);
+  EXPECT_EQ(tracked, coll->wal()->MemoryBytes());
 }
 
 TEST_F(DurableCollectionTest, CheckpointBoundsSegmentCount) {

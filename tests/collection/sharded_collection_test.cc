@@ -196,6 +196,50 @@ TEST_F(ShardedCollectionTest, QuarantinedShardDegradesNotKills) {
   EXPECT_TRUE(coll->Insert(Value::Int64(3), Doc(3)).ok());
 }
 
+// The memory reporters and document_count() read maintained counters
+// (O(1) per shard, since every routed query reads them). Each must equal
+// its recompute walk on every shard through DML and a facade
+// RebuildIndex(), which clears and re-feeds the path statistics.
+TEST_F(ShardedCollectionTest, MaintainedCountersMatchRecomputeWalks) {
+  auto coll = JsonCollection::Create(&db_, "CTR", Sharded(4)).MoveValue();
+  auto expect_reconciled = [&](const std::string& when) {
+    size_t live = 0;
+    for (size_t s = 0; s < coll->shard_count(); ++s) {
+      const JsonCollection& shard = *coll->shard(s);
+      EXPECT_EQ(shard.dataguide().MemoryBytes(),
+                shard.dataguide().RecomputeMemoryBytes())
+          << when << ", shard " << s;
+      EXPECT_EQ(shard.path_stats().MemoryBytes(),
+                shard.path_stats().RecomputeMemoryBytes())
+          << when << ", shard " << s;
+      EXPECT_EQ(shard.table()->LiveRowCount(),
+                shard.table()->RecountLiveRows())
+          << when << ", shard " << s;
+      live += shard.table()->RecountLiveRows();
+    }
+    EXPECT_EQ(coll->document_count(), live) << when;
+  };
+  std::vector<size_t> rows;
+  for (int i = 1; i <= 120; ++i) {
+    // Numeric paths past the histogram seed capacity, so histograms freeze.
+    auto row = coll->Insert(
+        Value::Int64(i), "{\"num\":" + std::to_string(i) + ",\"f" +
+                             std::to_string(i % 11) + "\":\"x\"}");
+    ASSERT_TRUE(row.ok());
+    rows.push_back(row.value());
+  }
+  expect_reconciled("after inserts");
+  for (size_t i = 0; i < rows.size(); i += 5) {
+    ASSERT_TRUE(coll->Delete(rows[i]).ok());
+  }
+  ASSERT_TRUE(coll->Replace(rows[1], Value::Int64(2),
+                            R"({"num":2.5,"fresh":{"a":[1,2]}})")
+                  .ok());
+  expect_reconciled("after deletes and a replace");
+  ASSERT_TRUE(coll->RebuildIndex().ok());
+  expect_reconciled("after RebuildIndex");
+}
+
 TEST_F(ShardedCollectionTest, AllShardsQuarantinedIsQuarantined) {
   auto coll = JsonCollection::Create(&db_, "QALL", Sharded(2)).MoveValue();
   ASSERT_TRUE(coll->Insert(Value::Int64(1), Doc(1)).ok());

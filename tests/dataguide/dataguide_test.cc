@@ -283,6 +283,40 @@ TEST(DataGuideTest, NestedArraysOfArrays) {
   EXPECT_EQ(leaf->TypeString(), "array of number");
 }
 
+// MemoryBytes() is a counter maintained where entries are created;
+// RecomputeMemoryBytes() walks the entries with the same formula. They
+// must agree after every AddDocument (new and known structure alike),
+// every Merge (new and shared paths), and on copies.
+TEST(DataGuideTest, MemoryCounterMatchesRecomputeWalk) {
+  DataGuide a, b;
+  EXPECT_EQ(a.MemoryBytes(), 0u);
+  EXPECT_EQ(a.MemoryBytes(), a.RecomputeMemoryBytes());
+  for (const char* doc : {kDoc1, kDoc2, kDoc1, kDoc3}) {
+    MustAdd(&a, doc);
+    EXPECT_EQ(a.MemoryBytes(), a.RecomputeMemoryBytes());
+  }
+  const uint64_t known = a.MemoryBytes();
+  MustAdd(&a, kDoc2);  // no new structure: no new bytes
+  EXPECT_EQ(a.MemoryBytes(), known);
+
+  MustAdd(&b, kDoc5);
+  MustAdd(&b, R"({"purchaseOrder":{"id":"x"},"extra":[1,{"k":null}]})");
+  EXPECT_EQ(b.MemoryBytes(), b.RecomputeMemoryBytes());
+  a.Merge(b);
+  EXPECT_GT(a.MemoryBytes(), known);
+  EXPECT_EQ(a.MemoryBytes(), a.RecomputeMemoryBytes());
+  a.Merge(b);  // every path already known
+  EXPECT_EQ(a.MemoryBytes(), a.RecomputeMemoryBytes());
+
+  DataGuide empty;
+  empty.Merge(a);
+  EXPECT_EQ(empty.MemoryBytes(), a.MemoryBytes());
+  DataGuide copy = a;
+  EXPECT_EQ(copy.MemoryBytes(), copy.RecomputeMemoryBytes());
+  copy = b;
+  EXPECT_EQ(copy.MemoryBytes(), b.RecomputeMemoryBytes());
+}
+
 TEST(DataGuideTest, EmptyContainers) {
   DataGuide guide;
   EXPECT_EQ(MustAdd(&guide, "{}"), 1);  // just '$'

@@ -220,5 +220,37 @@ TEST_F(ResourceMonitorTest, TrackerReconcilesWithRecomputeWalkOnNobench) {
   EXPECT_TRUE(Q("SELECT QUERY_ID FROM TELEMETRY$QUERY_MONITOR").empty());
 }
 
+// The routed-query probe refreshes the memory tracker once per query at
+// Open(); fsdm_mem_refresh_us times that call, so it gains exactly one
+// sample per routed query (the shard sub-plans of a fan-out carry no probe
+// of their own), whatever access path the router picks.
+TEST_F(ResourceMonitorTest, MemRefreshTimedOncePerRoutedQuery) {
+  collection::CollectionOptions opts;
+  opts.shard_count = 4;
+  auto coll =
+      collection::JsonCollection::Create(&db_, "RREF", opts).MoveValue();
+  Rng rng(7);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(coll->Insert(workloads::Nobench(&rng, i)).ok());
+  }
+  telemetry::Histogram* refresh =
+      telemetry::MetricsRegistry::Global().GetHistogram("fsdm_mem_refresh_us");
+  const uint64_t before = refresh->count();
+  const std::vector<std::vector<collection::PathPredicate>> queries = {
+      {collection::PathPredicate::Compare("$.str1", rdbms::CompareOp::kEq,
+                                          Value::String("nope"))},
+      {collection::PathPredicate::Exists("$.sparse_1")},
+      {collection::PathPredicate::Compare("$.num", rdbms::CompareOp::kGe,
+                                          Value::Int64(0))},
+      {},
+  };
+  for (const auto& preds : queries) {
+    auto routed = coll->Route(preds);
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    ASSERT_TRUE(rdbms::Collect(routed.value().plan.get()).ok());
+  }
+  EXPECT_EQ(refresh->count() - before, queries.size());
+}
+
 }  // namespace
 }  // namespace fsdm

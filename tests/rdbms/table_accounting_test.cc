@@ -113,5 +113,49 @@ TEST(TableAccountingTest, ConstraintViolationLeavesAccountingUntouched) {
   EXPECT_EQ(table->HeapBytes(), table->RecomputeHeapBytes());
 }
 
+// LiveRowCount() is maintained by DML (the collection's document_count()
+// reads it on every routed query); RecountLiveRows() walks the tombstones.
+TEST(TableAccountingTest, LiveRowCountMatchesRecount) {
+  auto table = MakeDocs();
+  EXPECT_EQ(table->LiveRowCount(), 0u);
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(
+        table->Insert({Value::Int64(i), Value::String(Doc(i, i))}).ok());
+    EXPECT_EQ(table->LiveRowCount(), table->RecountLiveRows()) << "insert " << i;
+  }
+  EXPECT_EQ(table->LiveRowCount(), 12u);
+
+  ASSERT_TRUE(table->Delete(4).ok());
+  ASSERT_TRUE(table->Delete(9).ok());
+  EXPECT_FALSE(table->Delete(4).ok());  // already dead: no double count
+  EXPECT_EQ(table->LiveRowCount(), 10u);
+  EXPECT_EQ(table->LiveRowCount(), table->RecountLiveRows());
+
+  ASSERT_TRUE(
+      table->Replace(2, {Value::Int64(2), Value::String(Doc(2, 77))}).ok());
+  EXPECT_FALSE(
+      table->Replace(4, {Value::Int64(4), Value::String(Doc(4))}).ok());
+  EXPECT_EQ(table->LiveRowCount(), 10u);
+  EXPECT_EQ(table->LiveRowCount(), table->RecountLiveRows());
+
+  // Observer-vetoed DML rolls back: an aborted insert leaves no live row,
+  // an aborted delete leaves the row live.
+  VetoObserver veto;
+  table->AddObserver(&veto);
+  EXPECT_FALSE(
+      table->Insert({Value::Int64(99), Value::String(Doc(99))}).ok());
+  EXPECT_FALSE(table->Delete(1).ok());
+  EXPECT_FALSE(
+      table->Replace(3, {Value::Int64(3), Value::String(Doc(3, 5))}).ok());
+  table->RemoveObserver(&veto);
+  EXPECT_EQ(table->LiveRowCount(), 10u);
+  EXPECT_EQ(table->LiveRowCount(), table->RecountLiveRows());
+
+  // A constraint-rejected insert never stores a row.
+  EXPECT_FALSE(
+      table->Insert({Value::Int64(100), Value::String("{not json")}).ok());
+  EXPECT_EQ(table->LiveRowCount(), table->RecountLiveRows());
+}
+
 }  // namespace
 }  // namespace fsdm::rdbms

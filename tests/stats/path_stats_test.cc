@@ -148,6 +148,35 @@ TEST_F(PathStatsTest, NonNumericValuesSkipHistogramButCountNdv) {
   EXPECT_EQ(s->max_value->ToDisplayString(), "beta");
 }
 
+// MemoryBytes() is a maintained counter; RecomputeMemoryBytes() walks the
+// repository with the same formula. They must agree exactly after every
+// mutation: new paths, histogram seed growth, the freeze from kSeedCapacity
+// doubles to buckets, non-numeric and null values, and Clear().
+TEST_F(PathStatsTest, MemoryCounterMatchesRecomputeWalk) {
+  EXPECT_EQ(repo_.MemoryBytes(), 0u);
+  EXPECT_EQ(repo_.MemoryBytes(), repo_.RecomputeMemoryBytes());
+  for (int i = 0; i < 3 * static_cast<int>(ValueHistogram::kSeedCapacity);
+       ++i) {
+    Doc({{"$.num", Value::Int64(i % 17)},
+         {"$.same", Value::Int64(5)},
+         {"$.str", Value::String("s" + std::to_string(i % 5))},
+         {"$.p" + std::to_string(i % 9), Value::Double(i * 0.5)},
+         {"$.nul", Value::Null()}});
+    ASSERT_EQ(repo_.MemoryBytes(), repo_.RecomputeMemoryBytes()) << "doc " << i;
+  }
+  // Both histogram shapes froze: 32 buckets and the single-value bucket.
+  ASSERT_TRUE(repo_.Find("$.num")->histogram.frozen());
+  ASSERT_TRUE(repo_.Find("$.same")->histogram.frozen());
+  EXPECT_EQ(repo_.Find("$.same")->histogram.bucket_count(), 1u);
+  EXPECT_GT(repo_.MemoryBytes(), 0u);
+
+  repo_.Clear();
+  EXPECT_EQ(repo_.MemoryBytes(), 0u);
+  EXPECT_EQ(repo_.MemoryBytes(), repo_.RecomputeMemoryBytes());
+  Doc({{"$.num", Value::Int64(1)}});
+  EXPECT_EQ(repo_.MemoryBytes(), repo_.RecomputeMemoryBytes());
+}
+
 TEST_F(PathStatsTest, ClearResetsEverything) {
   Doc({{"$.a", Value::Int64(1)}});
   repo_.Clear();
