@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <tuple>
 #include <utility>
 
 #include "collection/collection.h"
@@ -223,6 +224,53 @@ Result<rdbms::OperatorPtr> ApplyResiduals(
     *root = std::move(span);
   }
   return plan;
+}
+
+/// The full-scan plan: one FilteredScan evaluating every predicate per
+/// row, so each distinct JSON_EXISTS(path) or JSON_VALUE(path RETURNING r)
+/// operand is navigated once per document however many predicates share
+/// it, and only matching rows are materialized. The spans keep the shape
+/// ApplyResiduals builds — one Filter per predicate stacked over the Scan
+/// leaf *root — and *root points at the top Filter on return.
+Result<rdbms::OperatorPtr> FullScanPlan(
+    const JsonCollection& coll, const std::vector<PathPredicate>& predicates,
+    std::unique_ptr<telemetry::OperatorSpan>* root) {
+  telemetry::OperatorSpan* scan_span = root->get();
+  // One operand per distinct (path, existence test, RETURNING type).
+  using OperandKey = std::tuple<std::string, bool, sqljson::Returning>;
+  std::vector<OperandKey> operand_keys;
+  std::vector<rdbms::ExprPtr> operands;
+  std::vector<rdbms::ScanConjunct> conjuncts;
+  for (const PathPredicate& p : predicates) {
+    rdbms::ScanConjunct c;
+    const sqljson::Returning returning =
+        p.is_existence() ? sqljson::Returning::kAny
+                         : ReturningForLiteral(*p.literal);
+    const OperandKey key{p.path, p.is_existence(), returning};
+    c.operand = static_cast<size_t>(
+        std::find(operand_keys.begin(), operand_keys.end(), key) -
+        operand_keys.begin());
+    if (c.operand == operands.size()) {
+      FSDM_ASSIGN_OR_RETURN(rdbms::ExprPtr operand,
+                            p.is_existence()
+                                ? coll.JsonExistsExpr(p.path)
+                                : coll.JsonValueExpr(p.path, returning));
+      operand_keys.push_back(key);
+      operands.push_back(std::move(operand));
+    }
+    if (!p.is_existence()) {
+      c.op = p.op;
+      c.literal = *p.literal;
+    }
+    std::unique_ptr<telemetry::OperatorSpan> span =
+        telemetry::MakeSpan("Filter", PredicateText(p));
+    c.span = span.get();
+    span->children.push_back(std::move(*root));
+    *root = std::move(span);
+    conjuncts.push_back(std::move(c));
+  }
+  return rdbms::FilteredScan(coll.table(), std::move(operands),
+                             std::move(conjuncts), scan_span);
 }
 
 /// Transparent wrapper the router stacks on every routed plan. On Close()
@@ -747,10 +795,8 @@ Result<RoutedPlan> RouteSingle(const JsonCollection& coll,
     default: {  // full-scan
       std::unique_ptr<telemetry::OperatorSpan> root =
           telemetry::MakeSpan("Scan", coll.name());
-      rdbms::OperatorPtr scan = rdbms::Instrument(coll.Scan(), root.get());
-      FSDM_ASSIGN_OR_RETURN(
-          rdbms::OperatorPtr plan,
-          ApplyResiduals(coll, std::move(scan), predicates, {}, &root));
+      FSDM_ASSIGN_OR_RETURN(rdbms::OperatorPtr plan,
+                            FullScanPlan(coll, predicates, &root));
       routed.plan = std::move(plan);
       routed.trace.root = std::move(root);
       std::string reason;

@@ -8,36 +8,39 @@ namespace fsdm::jsonpath {
 
 namespace {
 
-// Handler-internal sentinel: aborts the parse once the answer is known.
-constexpr const char* kDoneMarker = "__fsdm_stream_done__";
-
-bool IsDone(const Status& st) {
-  return st.code() == StatusCode::kInternal && st.message() == kDoneMarker;
-}
-
 constexpr int kDead = -1;
+
+/// Match progress of one open container.
+struct Frame {
+  bool is_object;
+  int progress;        // match progress for members/elements within
+  bool emit_elements;  // selected array with trailing [*]
+};
 
 /// Event-stream matcher for member-only paths (optional trailing [*]).
 /// Mirrors the DOM engine's lax semantics: member steps unwrap one array
 /// level (object elements inherit the match progress; nested arrays and
 /// scalar elements go dead), and a trailing [*] on a non-array selects the
 /// node itself.
+///
+/// Allocation-free per call: step names are read in place from the path,
+/// the frame stack is the caller's reused buffer, and the parse is aborted
+/// at the first result with a message short enough for the string's
+/// inline buffer (found() tells that abort from a real parse error).
 class Matcher final : public json::JsonEventHandler {
  public:
-  Matcher(const PathExpression& path, bool want_value)
-      : want_value_(want_value) {
-    for (const Step& s : path.steps()) {
-      if (s.kind == StepKind::kMember) {
-        names_.push_back(s.name);
-      } else {
-        trailing_star_ = true;  // validated by CanStream
-      }
-    }
-    k_ = static_cast<int>(names_.size());
+  Matcher(const PathExpression& path, bool want_value,
+          std::vector<Frame>* frames)
+      : steps_(path.steps()), want_value_(want_value), frames_(*frames) {
+    frames_.clear();
+    // CanStream admits only member steps and one trailing [*].
+    trailing_star_ =
+        !steps_.empty() && steps_.back().kind != StepKind::kMember;
+    k_ = static_cast<int>(steps_.size()) - (trailing_star_ ? 1 : 0);
   }
 
   bool found() const { return found_; }
-  const std::optional<Value>& value() const { return value_; }
+  std::optional<Value> TakeValue() { return std::move(value_); }
 
   Status OnStartObject() override {
     int p = TakeValueProgress();
@@ -77,7 +80,7 @@ class Matcher final : public json::JsonEventHandler {
   Status OnKey(std::string_view key) override {
     const Frame& frame = frames_.back();
     if (frame.progress >= 0 && frame.progress < k_ &&
-        key == names_[frame.progress]) {
+        key == steps_[frame.progress].name) {
       next_progress_ = frame.progress + 1;
     } else {
       next_progress_ = kDead;
@@ -102,12 +105,6 @@ class Matcher final : public json::JsonEventHandler {
   }
 
  private:
-  struct Frame {
-    bool is_object;
-    int progress;        // match progress for members/elements within
-    bool emit_elements;  // selected array with trailing [*]
-  };
-
   // Progress assigned to the value event happening now, derived from the
   // enclosing frame (or the root).
   int TakeValueProgress() {
@@ -146,16 +143,16 @@ class Matcher final : public json::JsonEventHandler {
   Status Emit(std::optional<Value> v) {
     found_ = true;
     if (want_value_) value_ = std::move(v);
-    return Status::Internal(kDoneMarker);
+    return Status::Internal("done");
   }
 
   static constexpr int kEmitElement = -2;
 
-  std::vector<std::string> names_;
+  const std::vector<Step>& steps_;
   int k_ = 0;
   bool trailing_star_ = false;
   bool want_value_;
-  std::vector<Frame> frames_;
+  std::vector<Frame>& frames_;
   int next_progress_ = kDead;
   bool found_ = false;
   std::optional<Value> value_;
@@ -177,32 +174,39 @@ bool StreamingPathEngine::CanStream(const PathExpression& path) {
 
 namespace {
 
-Result<Matcher> RunMatcher(std::string_view json_text,
-                           const PathExpression& path, bool want_value) {
+/// The frame stack the matchers of this thread share; it keeps its
+/// capacity from call to call.
+std::vector<Frame>* ThreadFrames() {
+  thread_local std::vector<Frame> frames;
+  return &frames;
+}
+
+Status RunMatcher(std::string_view json_text, const PathExpression& path,
+                  Matcher* matcher) {
   if (!StreamingPathEngine::CanStream(path)) {
     return Status::Unsupported("path not streamable: " + path.ToString());
   }
-  Matcher matcher(path, want_value);
-  Status st = json::ParseEvents(json_text, &matcher);
-  if (!st.ok() && !IsDone(st)) return st;
-  return matcher;
+  Status st = json::ParseEvents(json_text, matcher);
+  // Once the matcher has found a result, a non-OK status is its abort.
+  if (!st.ok() && !matcher->found()) return st;
+  return Status::Ok();
 }
 
 }  // namespace
 
 Result<bool> StreamingPathEngine::Exists(std::string_view json_text,
                                          const PathExpression& path) {
-  FSDM_ASSIGN_OR_RETURN(Matcher matcher,
-                        RunMatcher(json_text, path, /*want_value=*/false));
+  Matcher matcher(path, /*want_value=*/false, ThreadFrames());
+  FSDM_RETURN_NOT_OK(RunMatcher(json_text, path, &matcher));
   return matcher.found();
 }
 
 Result<std::optional<Value>> StreamingPathEngine::FirstScalar(
     std::string_view json_text, const PathExpression& path) {
-  FSDM_ASSIGN_OR_RETURN(Matcher matcher,
-                        RunMatcher(json_text, path, /*want_value=*/true));
+  Matcher matcher(path, /*want_value=*/true, ThreadFrames());
+  FSDM_RETURN_NOT_OK(RunMatcher(json_text, path, &matcher));
   if (!matcher.found()) return std::optional<Value>(std::nullopt);
-  return matcher.value();
+  return matcher.TakeValue();
 }
 
 }  // namespace fsdm::jsonpath

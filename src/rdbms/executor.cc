@@ -1,6 +1,7 @@
 #include "rdbms/executor.h"
 
 #include <algorithm>
+#include <chrono>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -44,6 +45,182 @@ class ScanOp final : public Operator {
   size_t next_row_ = 0;
 };
 
+/// EXPLAIN ANALYZE bookkeeping shared by InstrumentOp and FilteredScanOp.
+/// Opening resets the span and marks it open for the query monitor (before
+/// any row is produced, so a concurrent TELEMETRY$QUERY_MONITOR scan never
+/// sees rows ticking on a "pending" operator); closing publishes its final
+/// time. Flight-recorder spans bracket Open and Close only, which keeps
+/// the recorder off the row-at-a-time hot path; the operator name is
+/// copied into the event (the span tree dies with its RoutedPlan, ring
+/// events outlive it).
+void OpenSpan(telemetry::OperatorSpan* span) {
+  span->rows_out.store(0, std::memory_order_relaxed);
+  span->elapsed_us = 0;
+  span->live_elapsed_us.store(0, std::memory_order_relaxed);
+  span->live_open_ts_us.store(telemetry::MonotonicNowUs(),
+                              std::memory_order_relaxed);
+  span->live_state.store(telemetry::OperatorSpan::kOpen,
+                         std::memory_order_relaxed);
+}
+
+void CloseSpan(telemetry::OperatorSpan* span) {
+  span->live_elapsed_us.store(static_cast<uint64_t>(span->elapsed_us),
+                              std::memory_order_relaxed);
+  span->live_state.store(telemetry::OperatorSpan::kDone,
+                         std::memory_order_relaxed);
+}
+
+class FilteredScanOp final : public Operator {
+ public:
+  FilteredScanOp(const Table* table, std::vector<ExprPtr> operands,
+                 std::vector<ScanConjunct> conjuncts,
+                 telemetry::OperatorSpan* scan_span)
+      : table_(table),
+        operands_(std::move(operands)),
+        values_(operands_.size()),
+        evaluated_for_(operands_.size(), kNoRow),
+        scan_span_(scan_span) {
+    schema_ = table->OutputSchema();
+    spans_.push_back(scan_span_);
+    for (ScanConjunct& c : conjuncts) {
+      spans_.push_back(c.span);
+      conjuncts_.push_back({std::move(c)});
+    }
+  }
+
+  Status Open() override {
+    for (ExprPtr& e : operands_) {
+      FSDM_RETURN_NOT_OK(e->Bind(table_->physical_schema()));
+    }
+    next_row_ = 0;
+    examined_ = emitted_ = 0;
+    scan_us_ = 0;
+    std::fill(evaluated_for_.begin(), evaluated_for_.end(), kNoRow);
+    for (Conjunct& c : conjuncts_) {
+      c.rows_in = c.rows_out = 0;
+      c.us = 0;
+    }
+    // Root first, as the stacked plan's Open calls would nest.
+    for (size_t i = spans_.size(); i-- > 0;) {
+      FSDM_TRACE_SPAN(trace_span, "rdbms", "op.open");
+      trace_span.AddTextArg("op", spans_[i]->name);
+      OpenSpan(spans_[i]);
+    }
+    return Status::Ok();
+  }
+
+  Result<bool> Next(Row* out) override {
+    Clock::time_point lap = Clock::now();
+    while (next_row_ < table_->row_count()) {
+      const size_t id = next_row_++;
+      if (!table_->IsLive(id)) continue;
+      ++examined_;
+      FSDM_ASSIGN_OR_RETURN(bool accepted, Accepts(id, &lap));
+      if (!accepted) continue;
+      FSDM_ASSIGN_OR_RETURN(*out, table_->MaterializeRow(id));
+      ++emitted_;
+      Lap(&lap, &scan_us_);
+      PublishSpans();
+      return true;
+    }
+    Lap(&lap, &scan_us_);
+    PublishSpans();
+    return false;
+  }
+
+  void Close() override {
+    uint64_t rows_in = 0, rows_out = 0;
+    for (const Conjunct& c : conjuncts_) {
+      rows_in += c.rows_in;
+      rows_out += c.rows_out;
+    }
+    FSDM_COUNT("fsdm_rdbms_scan_rows_total", emitted_);
+    FSDM_COUNT("fsdm_rdbms_scan_rows_skipped_total", examined_ - emitted_);
+    FSDM_COUNT("fsdm_rdbms_filter_rows_in_total", rows_in);
+    FSDM_COUNT("fsdm_rdbms_filter_rows_out_total", rows_out);
+    examined_ = emitted_ = 0;
+    for (Conjunct& c : conjuncts_) c.rows_in = c.rows_out = 0;
+    for (telemetry::OperatorSpan* span : spans_) {
+      FSDM_TRACE_SPAN(trace_span, "rdbms", "op.close");
+      trace_span.AddTextArg("op", span->name);
+      trace_span.AddNumberArg(
+          "rows", static_cast<double>(
+                      span->rows_out.load(std::memory_order_relaxed)));
+      CloseSpan(span);
+    }
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  static constexpr size_t kNoRow = ~size_t{0};
+
+  struct Conjunct {
+    ScanConjunct spec;
+    uint64_t rows_in = 0;   // rows that reached this conjunct
+    uint64_t rows_out = 0;  // rows it accepted
+    double us = 0;          // time spent evaluating it
+  };
+
+  // Charges the time since *lap to *acc and restarts the lap.
+  static void Lap(Clock::time_point* lap, double* acc) {
+    const Clock::time_point now = Clock::now();
+    *acc += std::chrono::duration<double, std::micro>(now - *lap).count();
+    *lap = now;
+  }
+
+  // Evaluates the conjunction over the stored row `id` in conjunct order,
+  // each operand at most once; the first non-TRUE conjunct rejects.
+  Result<bool> Accepts(size_t id, Clock::time_point* lap) {
+    const RowContext ctx{&table_->physical_schema(), &table_->StoredRow(id)};
+    for (Conjunct& c : conjuncts_) {
+      ++c.rows_in;
+      const size_t k = c.spec.operand;
+      if (evaluated_for_[k] != id) {
+        FSDM_ASSIGN_OR_RETURN(values_[k], operands_[k]->Eval(ctx));
+        evaluated_for_[k] = id;
+      }
+      bool pass;
+      if (c.spec.op.has_value()) {
+        FSDM_ASSIGN_OR_RETURN(
+            Value v, CompareValues(*c.spec.op, values_[k], c.spec.literal));
+        pass = IsTrue(v);
+      } else {
+        pass = IsTrue(values_[k]);
+      }
+      Lap(lap, &c.us);
+      if (!pass) return false;
+      ++c.rows_out;
+    }
+    return true;
+  }
+
+  // Mirrors the stacked plan's spans: the scan examined every live row,
+  // conjunct i's Filter emitted what conjuncts 0..i accepted, and each
+  // Filter's inclusive time holds the scan's plus every conjunct's below.
+  void PublishSpans() {
+    scan_span_->rows_out.store(examined_, std::memory_order_relaxed);
+    scan_span_->elapsed_us = scan_us_;
+    double inclusive_us = scan_us_;
+    for (const Conjunct& c : conjuncts_) {
+      inclusive_us += c.us;
+      c.spec.span->rows_out.store(c.rows_out, std::memory_order_relaxed);
+      c.spec.span->elapsed_us = inclusive_us;
+    }
+  }
+
+  const Table* table_;
+  std::vector<ExprPtr> operands_;
+  std::vector<Conjunct> conjuncts_;
+  std::vector<Value> values_;          // operand values of the current row
+  std::vector<size_t> evaluated_for_;  // row id each value belongs to
+  telemetry::OperatorSpan* scan_span_;
+  std::vector<telemetry::OperatorSpan*> spans_;  // scan, then conjuncts'
+  size_t next_row_ = 0;
+  uint64_t examined_ = 0;  // live rows read
+  uint64_t emitted_ = 0;   // rows accepted and materialized
+  double scan_us_ = 0;     // reading rows and materializing accepted ones
+};
+
 class ValuesOp final : public Operator {
  public:
   ValuesOp(Schema schema, std::vector<Row> rows) : rows_(std::move(rows)) {
@@ -84,7 +261,7 @@ class FilterOp final : public Operator {
       FSDM_COUNT("fsdm_rdbms_filter_rows_in_total", 1);
       RowContext ctx{&schema_, out};
       FSDM_ASSIGN_OR_RETURN(Value v, predicate_->Eval(ctx));
-      if (!v.is_null() && v.AsBool()) {
+      if (IsTrue(v)) {
         FSDM_COUNT("fsdm_rdbms_filter_rows_out_total", 1);
         return true;
       }
@@ -669,22 +846,9 @@ class InstrumentOp final : public Operator {
   }
 
   Status Open() override {
-    // Flight-recorder spans bracket Open and Close only; batching the
-    // per-Next tick into the close span keeps the recorder off the
-    // row-at-a-time hot path. The operator name is copied into the event
-    // (the span tree dies with its RoutedPlan; ring events outlive it).
     FSDM_TRACE_SPAN(trace_span, "rdbms", "op.open");
     trace_span.AddTextArg("op", span_->name);
-    span_->rows_out.store(0, std::memory_order_relaxed);
-    span_->elapsed_us = 0;
-    // Live-progress mirror for the query monitor: mark the operator open
-    // before the child opens so a concurrent TELEMETRY$QUERY_MONITOR scan
-    // never sees rows ticking on a "pending" operator.
-    span_->live_elapsed_us.store(0, std::memory_order_relaxed);
-    span_->live_open_ts_us.store(telemetry::MonotonicNowUs(),
-                                 std::memory_order_relaxed);
-    span_->live_state.store(telemetry::OperatorSpan::kOpen,
-                            std::memory_order_relaxed);
+    OpenSpan(span_);
     telemetry::Stopwatch w;
     Status st = child_->Open();
     span_->elapsed_us += w.ElapsedUs();
@@ -710,10 +874,7 @@ class InstrumentOp final : public Operator {
     telemetry::Stopwatch w;
     child_->Close();
     span_->elapsed_us += w.ElapsedUs();
-    span_->live_elapsed_us.store(static_cast<uint64_t>(span_->elapsed_us),
-                                 std::memory_order_relaxed);
-    span_->live_state.store(telemetry::OperatorSpan::kDone,
-                            std::memory_order_relaxed);
+    CloseSpan(span_);
   }
 
  private:
@@ -730,6 +891,12 @@ OperatorPtr Instrument(OperatorPtr child, telemetry::OperatorSpan* span) {
 
 OperatorPtr Scan(const Table* table, bool include_hidden) {
   return std::make_unique<ScanOp>(table, include_hidden);
+}
+OperatorPtr FilteredScan(const Table* table, std::vector<ExprPtr> operands,
+                         std::vector<ScanConjunct> conjuncts,
+                         telemetry::OperatorSpan* scan_span) {
+  return std::make_unique<FilteredScanOp>(table, std::move(operands),
+                                          std::move(conjuncts), scan_span);
 }
 OperatorPtr Values(Schema schema, std::vector<Row> rows) {
   return std::make_unique<ValuesOp>(std::move(schema), std::move(rows));

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,36 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// Set `include_hidden` to expose hidden virtual columns (the implicit OSON
 /// column of §5.2.2).
 OperatorPtr Scan(const Table* table, bool include_hidden = false);
+
+/// One conjunct of a FilteredScan: `operands[operand] <op> literal` under
+/// SQL three-valued logic (CompareValues), or, without `op`, the operand's
+/// own truth value (a JSON_EXISTS). A row passes only when it is TRUE.
+/// `span` is the conjunct's EXPLAIN ANALYZE Filter span.
+struct ScanConjunct {
+  size_t operand = 0;
+  std::optional<CompareOp> op;
+  Value literal;
+  telemetry::OperatorSpan* span = nullptr;
+};
+
+/// Full scan fused with a conjunction: the plan the router builds for a
+/// full-scan access path. For each live row it evaluates the conjuncts in
+/// order against the stored row (operands are bound to
+/// table->physical_schema()) and stops at the first one that is not TRUE;
+/// an operand shared by several conjuncts is evaluated once per row, and
+/// only accepted rows are materialized. Rows and order equal
+/// Filter(...Filter(Scan(table))) with one Filter per conjunct, innermost
+/// first.
+///
+/// The scan fills its spans as that stacked plan's Instrument() probes
+/// would: scan_span->rows_out counts the live rows examined, each
+/// conjunct span's rows_out the rows accepted by it and every conjunct
+/// before it, and times are inclusive — so EXPLAIN ANALYZE and the
+/// operator cost model's per-row bases are unchanged. Every span must
+/// outlive the operator.
+OperatorPtr FilteredScan(const Table* table, std::vector<ExprPtr> operands,
+                         std::vector<ScanConjunct> conjuncts,
+                         telemetry::OperatorSpan* scan_span);
 
 /// Emits pre-materialized rows (for tests and VALUES-style input).
 OperatorPtr Values(Schema schema, std::vector<Row> rows);

@@ -34,37 +34,57 @@ class LiteralExpr final : public Expression {
   Value value_;
 };
 
-class ColumnExpr final : public Expression {
- public:
-  explicit ColumnExpr(std::string name) : name_(std::move(name)) {}
+Status ColumnNotInSchema(const std::string& name) {
+  return Status::NotFound("column '" + name + "' not in schema");
+}
 
-  Status Bind(const Schema& schema) override {
+/// A named column's position: resolved once by Bind(), or looked up in the
+/// context's schema on every read when unbound.
+class ColumnSlot {
+ public:
+  explicit ColumnSlot(std::string name) : name_(std::move(name)) {}
+
+  Status Bind(const Schema& schema) {
     index_ = schema.IndexOf(name_);
-    if (index_ == Schema::npos) {
-      return Status::NotFound("column '" + name_ + "' not in schema");
-    }
+    if (index_ == Schema::npos) return ColumnNotInSchema(name_);
     return Status::Ok();
   }
 
-  Result<Value> Eval(const RowContext& ctx) const override {
+  /// The column's value in ctx's row, by reference.
+  Result<const Value*> Read(const RowContext& ctx) const {
     size_t idx = index_;
     if (idx == Schema::npos) {
       idx = ctx.schema->IndexOf(name_);
-      if (idx == Schema::npos) {
-        return Status::NotFound("column '" + name_ + "' not in schema");
-      }
+      if (idx == Schema::npos) return ColumnNotInSchema(name_);
     }
     if (idx >= ctx.row->size()) {
       return Status::Internal("row narrower than schema for '" + name_ + "'");
     }
-    return (*ctx.row)[idx];
+    return &(*ctx.row)[idx];
   }
 
-  std::string ToString() const override { return name_; }
+  const std::string& name() const { return name_; }
 
  private:
   std::string name_;
   size_t index_ = Schema::npos;
+};
+
+class ColumnExpr final : public Expression {
+ public:
+  explicit ColumnExpr(std::string name) : slot_(std::move(name)) {}
+
+  Status Bind(const Schema& schema) override { return slot_.Bind(schema); }
+
+  Result<Value> Eval(const RowContext& ctx) const override {
+    FSDM_ASSIGN_OR_RETURN(const Value* v, slot_.Read(ctx));
+    return *v;
+  }
+
+  std::string ToString() const override { return slot_.name(); }
+
+ private:
+  ColumnSlot slot_;
 };
 
 class CompareExpr final : public Expression {
@@ -80,24 +100,7 @@ class CompareExpr final : public Expression {
   Result<Value> Eval(const RowContext& ctx) const override {
     FSDM_ASSIGN_OR_RETURN(Value l, left_->Eval(ctx));
     FSDM_ASSIGN_OR_RETURN(Value r, right_->Eval(ctx));
-    if (l.is_null() || r.is_null()) return Value::Null();  // UNKNOWN
-    Result<int> cmp = l.CompareTo(r);
-    if (!cmp.ok()) return cmp.status();
-    switch (op_) {
-      case CompareOp::kEq:
-        return Tribool(cmp.value() == 0);
-      case CompareOp::kNe:
-        return Tribool(cmp.value() != 0);
-      case CompareOp::kLt:
-        return Tribool(cmp.value() < 0);
-      case CompareOp::kLe:
-        return Tribool(cmp.value() <= 0);
-      case CompareOp::kGt:
-        return Tribool(cmp.value() > 0);
-      case CompareOp::kGe:
-        return Tribool(cmp.value() >= 0);
-    }
-    return Status::Internal("bad compare op");
+    return CompareValues(op_, l, r);
   }
 
   std::string ToString() const override {
@@ -410,16 +413,24 @@ class FuncExpr final : public Expression {
 
 class CallbackExpr final : public Expression {
  public:
-  CallbackExpr(std::string label,
-               std::function<Result<Value>(const RowContext&)> fn)
-      : label_(std::move(label)), fn_(std::move(fn)) {}
+  CallbackExpr(std::string label, std::string column,
+               std::function<Result<Value>(const Value&)> fn)
+      : label_(std::move(label)),
+        slot_(std::move(column)),
+        fn_(std::move(fn)) {}
 
-  Result<Value> Eval(const RowContext& ctx) const override { return fn_(ctx); }
+  Status Bind(const Schema& schema) override { return slot_.Bind(schema); }
+
+  Result<Value> Eval(const RowContext& ctx) const override {
+    FSDM_ASSIGN_OR_RETURN(const Value* v, slot_.Read(ctx));
+    return fn_(*v);
+  }
   std::string ToString() const override { return label_; }
 
  private:
   std::string label_;
-  std::function<Result<Value>(const RowContext&)> fn_;
+  ColumnSlot slot_;
+  std::function<Result<Value>(const Value&)> fn_;
 };
 
 }  // namespace
@@ -458,11 +469,31 @@ ExprPtr In(ExprPtr expr, std::vector<Value> values) {
 ExprPtr Func(std::string name, std::vector<ExprPtr> args) {
   return std::make_shared<FuncExpr>(std::move(name), std::move(args));
 }
-ExprPtr Callback(std::string label,
-                 std::function<Result<Value>(const RowContext&)> fn,
-                 std::vector<std::string> referenced_columns) {
-  (void)referenced_columns;
-  return std::make_shared<CallbackExpr>(std::move(label), std::move(fn));
+ExprPtr Callback(std::string label, std::string column,
+                 std::function<Result<Value>(const Value&)> fn) {
+  return std::make_shared<CallbackExpr>(std::move(label), std::move(column),
+                                        std::move(fn));
+}
+
+Result<Value> CompareValues(CompareOp op, const Value& left,
+                            const Value& right) {
+  if (left.is_null() || right.is_null()) return Value::Null();  // UNKNOWN
+  FSDM_ASSIGN_OR_RETURN(int cmp, left.CompareTo(right));
+  switch (op) {
+    case CompareOp::kEq:
+      return Tribool(cmp == 0);
+    case CompareOp::kNe:
+      return Tribool(cmp != 0);
+    case CompareOp::kLt:
+      return Tribool(cmp < 0);
+    case CompareOp::kLe:
+      return Tribool(cmp <= 0);
+    case CompareOp::kGt:
+      return Tribool(cmp > 0);
+    case CompareOp::kGe:
+      return Tribool(cmp >= 0);
+  }
+  return Status::Internal("bad compare op");
 }
 
 }  // namespace fsdm::rdbms

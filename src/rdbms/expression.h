@@ -95,12 +95,22 @@ ExprPtr In(ExprPtr expr, std::vector<Value> values);
 /// TO_NUMBER(s).
 ExprPtr Func(std::string name, std::vector<ExprPtr> args);
 
-/// Wraps an arbitrary evaluation callback — the extension point the
+/// Wraps an evaluation callback over one column — the extension point the
 /// SQL/JSON operators (JSON_VALUE etc.) plug into, mirroring how the paper
-/// layers SQL/JSON on the ORDBMS extensibility framework [11, 13].
-ExprPtr Callback(std::string label,
-                 std::function<Result<Value>(const RowContext&)> fn,
-                 std::vector<std::string> referenced_columns = {});
+/// layers SQL/JSON on the ORDBMS extensibility framework [11, 13]. `fn`
+/// reads the column's value in place, without a copy; Bind() pre-resolves
+/// the column's position like Col() does.
+ExprPtr Callback(std::string label, std::string column,
+                 std::function<Result<Value>(const Value&)> fn);
+
+/// `left <op> right` under SQL three-valued logic: NULL (UNKNOWN) when
+/// either side is NULL, else a boolean. Fails when the values are not
+/// comparable. The rule behind Cmp().
+Result<Value> CompareValues(CompareOp op, const Value& left,
+                            const Value& right);
+
+/// Filter's acceptance rule: only TRUE passes; FALSE and UNKNOWN reject.
+inline bool IsTrue(const Value& v) { return !v.is_null() && v.AsBool(); }
 
 }  // namespace fsdm::rdbms
 

@@ -54,9 +54,20 @@ void RollbackObservers(const std::vector<TableObserver*>& observers,
 
 Table::Table(std::string name, std::vector<ColumnDef> columns)
     : name_(std::move(name)), columns_(std::move(columns)) {
+  std::vector<std::string> phys_names;
   for (size_t i = 0; i < columns_.size(); ++i) {
-    if (!columns_[i].is_virtual()) physical_.push_back(i);
+    if (columns_[i].is_virtual()) continue;
+    physical_.push_back(i);
+    phys_names.push_back(columns_[i].name);
   }
+  physical_schema_ = Schema(std::move(phys_names));
+  for (ColumnDef& def : columns_) BindVirtual(&def);
+}
+
+void Table::BindVirtual(ColumnDef* def) const {
+  // A failed bind leaves the expression resolving its columns by name at
+  // each evaluation, which reports the same error there.
+  if (def->is_virtual()) (void)def->virtual_expr->Bind(physical_schema_);
 }
 
 size_t Table::ColumnIndex(const std::string& name) const {
@@ -74,6 +85,7 @@ Status Table::AddVirtualColumn(ColumnDef def) {
     return Status::AlreadyExists("column '" + def.name + "' exists on " +
                                  name_);
   }
+  BindVirtual(&def);
   columns_.push_back(std::move(def));
   return Status::Ok();
 }
@@ -250,12 +262,8 @@ Result<Row> Table::MaterializeRow(size_t row_id, bool include_hidden) const {
   if (row_id >= rows_.size() || !live_[row_id]) {
     return Status::NotFound("row " + std::to_string(row_id));
   }
-  // Virtual expressions see the physical columns by name.
-  std::vector<std::string> phys_names;
-  phys_names.reserve(physical_.size());
-  for (size_t idx : physical_) phys_names.push_back(columns_[idx].name);
-  Schema phys_schema(std::move(phys_names));
-  RowContext ctx{&phys_schema, &rows_[row_id]};
+  // Virtual expressions are bound to the physical columns.
+  RowContext ctx{&physical_schema_, &rows_[row_id]};
 
   Row out;
   size_t phys_i = 0;

@@ -97,13 +97,16 @@ class Table {
   const std::vector<ColumnDef>& columns() const { return columns_; }
   /// Positions of physical (stored) columns within columns().
   const std::vector<size_t>& physical_columns() const { return physical_; }
+  /// Names of the physical columns in stored order: the schema StoredRow()
+  /// rows and virtual-column expressions are bound to.
+  const Schema& physical_schema() const { return physical_schema_; }
   size_t row_count() const { return rows_.size(); }
 
   /// Index into columns() by name; Schema::npos if absent.
   size_t ColumnIndex(const std::string& name) const;
 
-  /// Appends a virtual column (AddVC / hidden OSON column). Fails on
-  /// duplicate name.
+  /// Appends a virtual column (AddVC / hidden OSON column), binding its
+  /// expression to physical_schema(). Fails on duplicate name.
   Status AddVirtualColumn(ColumnDef def);
 
   /// Inserts one row of *physical* column values (in physical_columns()
@@ -159,10 +162,12 @@ class Table {
 
  private:
   Status ValidateRow(const Row& physical_values);
+  void BindVirtual(ColumnDef* def) const;
 
   std::string name_;
   std::vector<ColumnDef> columns_;
   std::vector<size_t> physical_;  // indexes of stored columns
+  Schema physical_schema_;        // names of physical_, in stored order
   std::vector<Row> rows_;        // stored values, physical order
   std::vector<bool> live_;       // tombstones for Delete
   // Incremental accounting over rows_. Atomic (relaxed) because DML

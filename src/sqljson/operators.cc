@@ -102,11 +102,9 @@ Result<rdbms::ExprPtr> JsonValue(std::string column, std::string path,
   FSDM_ASSIGN_OR_RETURN(std::shared_ptr<PathState> state,
                         MakeState(path, storage));
   std::string label = "JSON_VALUE(" + column + ", '" + path + "')";
-  rdbms::ExprPtr col = rdbms::Col(column);
   return rdbms::Callback(
-      std::move(label),
-      [state, col, returning](const rdbms::RowContext& ctx) -> Result<Value> {
-        FSDM_ASSIGN_OR_RETURN(Value doc, col->Eval(ctx));
+      std::move(label), std::move(column),
+      [state, returning](const Value& doc) -> Result<Value> {
         if (doc.is_null()) return Value::Null();
         std::optional<Value> v;
         if (state->streamable) {
@@ -128,11 +126,9 @@ Result<rdbms::ExprPtr> JsonExists(std::string column, std::string path,
   FSDM_ASSIGN_OR_RETURN(std::shared_ptr<PathState> state,
                         MakeState(path, storage));
   std::string label = "JSON_EXISTS(" + column + ", '" + path + "')";
-  rdbms::ExprPtr col = rdbms::Col(column);
   return rdbms::Callback(
-      std::move(label),
-      [state, col](const rdbms::RowContext& ctx) -> Result<Value> {
-        FSDM_ASSIGN_OR_RETURN(Value doc, col->Eval(ctx));
+      std::move(label), std::move(column),
+      [state](const Value& doc) -> Result<Value> {
         if (doc.is_null()) return Value::Bool(false);
         bool exists;
         if (state->streamable) {
@@ -153,11 +149,9 @@ Result<rdbms::ExprPtr> JsonQuery(std::string column, std::string path,
   FSDM_ASSIGN_OR_RETURN(std::shared_ptr<PathState> state,
                         MakeState(path, storage));
   std::string label = "JSON_QUERY(" + column + ", '" + path + "')";
-  rdbms::ExprPtr col = rdbms::Col(column);
   return rdbms::Callback(
-      std::move(label),
-      [state, col](const rdbms::RowContext& ctx) -> Result<Value> {
-        FSDM_ASSIGN_OR_RETURN(Value doc, col->Eval(ctx));
+      std::move(label), std::move(column),
+      [state](const Value& doc) -> Result<Value> {
         if (doc.is_null()) return Value::Null();
         FSDM_ASSIGN_OR_RETURN(const json::Dom* dom, state->source.Open(doc));
         std::optional<std::string> text;
@@ -228,11 +222,9 @@ Result<rdbms::ExprPtr> JsonTextContains(std::string column, std::string path,
   }
   std::string label =
       "JSON_TEXTCONTAINS(" + column + ", '" + path + "', '" + keyword + "')";
-  rdbms::ExprPtr col = rdbms::Col(column);
   return rdbms::Callback(
-      std::move(label),
-      [state, col, lowered](const rdbms::RowContext& ctx) -> Result<Value> {
-        FSDM_ASSIGN_OR_RETURN(Value doc, col->Eval(ctx));
+      std::move(label), std::move(column),
+      [state, lowered](const Value& doc) -> Result<Value> {
         if (doc.is_null()) return Value::Bool(false);
         FSDM_ASSIGN_OR_RETURN(const json::Dom* dom, state->source.Open(doc));
         bool found = false;
@@ -263,11 +255,9 @@ Result<rdbms::ExprPtr> JsonTextContains(std::string column, std::string path,
 rdbms::ExprPtr OsonConstructor(std::string column,
                                oson::EncodeOptions options) {
   std::string label = "OSON(" + column + ")";
-  rdbms::ExprPtr col = rdbms::Col(column);
   return rdbms::Callback(
-      std::move(label),
-      [col, options](const rdbms::RowContext& ctx) -> Result<Value> {
-        FSDM_ASSIGN_OR_RETURN(Value doc, col->Eval(ctx));
+      std::move(label), std::move(column),
+      [options](const Value& doc) -> Result<Value> {
         if (doc.is_null()) return Value::Null();
         if (doc.type() != ScalarType::kString) {
           return Status::InvalidArgument("OSON() expects a JSON text column");
@@ -302,10 +292,9 @@ Result<std::string> EnsureHiddenOsonColumn(rdbms::Table* table,
 
 rdbms::ExprPtr BsonConstructor(std::string column) {
   std::string label = "BSON(" + column + ")";
-  rdbms::ExprPtr col = rdbms::Col(column);
   return rdbms::Callback(
-      std::move(label), [col](const rdbms::RowContext& ctx) -> Result<Value> {
-        FSDM_ASSIGN_OR_RETURN(Value doc, col->Eval(ctx));
+      std::move(label), std::move(column),
+      [](const Value& doc) -> Result<Value> {
         if (doc.is_null()) return Value::Null();
         if (doc.type() != ScalarType::kString) {
           return Status::InvalidArgument("BSON() expects a JSON text column");

@@ -133,6 +133,36 @@ TEST_F(CostRouterTest, DrainingARoutedPlanFeedsTheCostModel) {
   }
 }
 
+// The fused full scan feeds the cost model on the scanned-row basis: the
+// Scan leaf processed every live row it examined, not just the few rows it
+// returned, and each Filter the rows that reached it.
+TEST_F(CostRouterTest, FullScanFeedsTheCostModelPerExaminedRow) {
+  auto coll = JsonCollection::Create(&db_, "C").MoveValue();
+  Load(coll.get());
+  for (size_t id = 0; id < 200; id += 10) ASSERT_TRUE(coll->Delete(id).ok());
+  const uint64_t live = coll->document_count();
+  ASSERT_EQ(live, 180u);
+
+  auto routed = coll->Route({PathPredicate::Compare("$.num",
+                                                    rdbms::CompareOp::kGe,
+                                                    Value::Int64(500)),
+                             PathPredicate::Compare("$.num",
+                                                    rdbms::CompareOp::kLt,
+                                                    Value::Int64(600))})
+                    .MoveValue();
+  ASSERT_EQ(routed.access_path, AccessPath::kFullScan);
+  ASSERT_FALSE(stats::OperatorCostModel::Global().frozen());
+  auto before = stats::OperatorCostModel::Global().Snapshot();
+  EXPECT_EQ(Drain(routed).size(), 9u);  // num 500..590, minus num 500
+  auto after = stats::OperatorCostModel::Global().Snapshot();
+
+  EXPECT_EQ(after.at("Scan").rows_total - before.at("Scan").rows_total, live);
+  // 180 rows reach num >= 500; the 135 live rows with num >= 500 reach
+  // num < 600.
+  EXPECT_EQ(after.at("Filter").rows_total - before.at("Filter").rows_total,
+            live + 135u);
+}
+
 TEST_F(CostRouterTest, GrossMisestimateBumpsTheCounter) {
   auto coll = JsonCollection::Create(&db_, "C").MoveValue();
   // Perfectly correlated predicates: flag exists exactly on tag == "t0"
